@@ -37,12 +37,17 @@ std::uint64_t Rng::next() {
   return result;
 }
 
-Zipf::Zipf(std::size_t n, double s) : cdf_(n) {
-  double total = 0;
+std::vector<double> zipf_weights(std::size_t n, double s) {
+  std::vector<double> weights(n);
   for (std::size_t i = 0; i < n; ++i) {
-    total += 1.0 / std::pow(static_cast<double>(i + 1), s);
-    cdf_[i] = total;
+    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
   }
+  return weights;
+}
+
+Zipf::Zipf(std::size_t n, double s) : cdf_(zipf_weights(n, s)) {
+  double total = 0;
+  for (double& c : cdf_) c = total += c;
   for (double& c : cdf_) c /= total;
 }
 
@@ -153,14 +158,6 @@ rp::Event to_event(const Item& item) {
 // --- workloads ---------------------------------------------------------------
 
 namespace {
-
-std::vector<double> zipf_weights(std::size_t n, double s) {
-  std::vector<double> weights(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    weights[i] = 1.0 / std::pow(static_cast<double>(i + 1), s);
-  }
-  return weights;
-}
 
 template <typename T>
 void shuffle(std::vector<T>& v, Rng& rng) {

@@ -38,6 +38,9 @@ class Rng {
   std::uint64_t s_[4];
 };
 
+/// Zipf(s) weights 1 / (rank + 1)^s of ranks 0..n-1 (unnormalised).
+std::vector<double> zipf_weights(std::size_t n, double s);
+
 /// Zipf(s) over ranks 0..n-1 by inverse-CDF lookup.
 class Zipf {
  public:
