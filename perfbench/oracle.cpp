@@ -59,7 +59,7 @@ Expectation expect(const Workload& w, Time settle) {
 }
 
 CheckResult check(const Workload& w, const Expectation& e,
-                  std::vector<Delivery> log,
+                  std::vector<Delivery>& log,
                   const std::vector<std::uint32_t>& bad_subscribe_ids) {
   CheckResult r;
   r.attempted = w.items.size() + w.ops.size();
@@ -189,7 +189,7 @@ std::string self_test(const Workload& w, const Expectation& e,
   if (log.empty()) return "no deliveries to corrupt";
   std::string missed;
   const auto expect_flag = [&](const char* what, const Expectation& bad_e,
-                               const std::vector<Delivery>& bad_log) {
+                               std::vector<Delivery> bad_log) {
     if (check(w, bad_e, bad_log).failed == 0) {
       missed += std::string(missed.empty() ? "" : "; ") + what;
     }
@@ -247,7 +247,7 @@ std::string self_test(const Workload& w, const Expectation& e,
   {
     std::vector<Delivery> bad = log;
     bad.push_back(log.front());
-    expect_flag("duplicate delivery", e, bad);
+    expect_flag("duplicate delivery", e, std::move(bad));
   }
 
   // 4. One wrong delivery: an item handed to a subscription that does not
@@ -262,7 +262,7 @@ std::string self_test(const Workload& w, const Expectation& e,
         planted = true;
       }
     }
-    expect_flag("wrong delivery", e, bad);
+    expect_flag("wrong delivery", e, std::move(bad));
   }
   return missed;
 }

@@ -53,10 +53,11 @@ struct CheckResult {
   std::vector<std::string> errors;  ///< the first few, for the log
 };
 
-/// Checks one round's deliveries. `bad_subscribe_ids` lists ledger subs
-/// whose subscribe returned an id other than the ledger's; their ops fail.
+/// Checks one round's deliveries, sorting `log` in place. `bad_subscribe_ids`
+/// lists ledger subs whose subscribe returned an id other than the ledger's;
+/// their ops fail.
 CheckResult check(const Workload& w, const Expectation& e,
-                  std::vector<Delivery> log,
+                  std::vector<Delivery>& log,
                   const std::vector<std::uint32_t>& bad_subscribe_ids = {});
 
 /// Smoke self-test: corrupts `e` (one dropped expected delivery, one extra

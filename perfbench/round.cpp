@@ -62,6 +62,8 @@ void Round::subscribe(std::uint32_t sub, rp::Filter filter,
   const rp::SubscriptionId id = client.subscribe_scored(
       std::move(filter), std::move(scoring),
       [this, sub](const rp::Event& event, rp::SubscriptionId, double) {
+        ++delivered;
+        if (!logging) return;
         // The proxy numbers its events 1, 2, ... in publish order, which
         // is item order.
         const bool ours = (event.id() >> 32) == publisher_->id();
@@ -103,6 +105,7 @@ double Round::setup() {
   publisher_ = std::make_unique<rp::Client>(sim_, net_, "proxy");
   publisher_->connect(ingress());
   for (std::uint32_t s = 0; s < w_.initial_subs; ++s) {
+    if (s == w_.settled_subs) sim_.run();
     subscribe(s, std::move(filters[s]), std::move(scorings[s]));
   }
   sim_.run();

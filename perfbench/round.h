@@ -69,6 +69,8 @@ class Round {
   reef::pubsub::Broker& ingress() { return overlay_->broker(0); }
 
   std::vector<Delivery> log;            ///< one entry per handler call
+  bool logging = true;                  ///< false: count deliveries only
+  std::size_t delivered = 0;            ///< handler calls
   std::vector<double> bundle_wall_ms;   ///< per bundle interval (play)
   std::vector<std::uint32_t> bad_ids;   ///< subs whose id was not the ledger's
 

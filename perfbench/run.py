@@ -11,8 +11,8 @@ The first call configures and builds perfbench/ (which compiles ../src
 itself) into .bench_build/perfbench under the repository root; later calls
 only rebuild what changed. Build output goes to stderr, so the last line of
 stdout is the benchmark's JSON result. `--workload all` runs every workload
-named in BENCHMARK.json in turn and prints each metric by name with its
-unit. The exit code is nonzero when the build fails, when any operation
+named in BENCHMARK.json in turn, for its run_seconds unless --seconds is
+given, and prints each metric by name with its unit. The exit code is nonzero when the build fails, when any operation
 fails the delivery oracle, or when a run exceeds its time limit.
 """
 
@@ -69,9 +69,11 @@ def option(args, name, default):
 def run_all(args):
     """Runs every workload of BENCHMARK.json and prints its metrics."""
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
-        names = [w["name"] for w in json.load(f)["workloads"]]
+        bench = json.load(f)
+    names = [w["name"] for w in bench["workloads"]]
     common = ["--seed", option(args, "--seed", "1"),
-              "--seconds", option(args, "--seconds", "10"),
+              "--seconds", option(args, "--seconds",
+                                  str(bench["run_seconds"])),
               "--trace", option(args, "--trace", "0")]
     status = 0
     for name in names:

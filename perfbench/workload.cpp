@@ -335,6 +335,10 @@ void make_feed_fanout(Workload& w, bool smoke) {
     }
   }
   w.initial_subs = w.subs.size();
+  // The stream subscribers are in place before the recommender loads the
+  // users, so how many per-feed filters travel up the tree before a broad
+  // one covers them does not hang on the link jitter.
+  w.settled_subs = broad;
 
   const std::size_t n = s.bundles * s.bundle_size;
   const std::vector<std::uint32_t> item_ranks = quota(n, popularity, g.rng);

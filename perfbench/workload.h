@@ -134,6 +134,9 @@ struct Workload {
   std::vector<Bundle> bundles;    ///< by time
   std::vector<LedgerSub> subs;    ///< ledger; the initial load comes first
   std::size_t initial_subs = 0;
+  /// Set-up subscribes the first `settled_subs` of the initial load and
+  /// runs the overlay to quiescence before it subscribes the rest.
+  std::size_t settled_subs = 0;
   std::vector<Op> ops;            ///< by time
   Time duration = 0;              ///< schedule length (last bundle + 1)
 
