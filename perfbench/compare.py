@@ -8,9 +8,9 @@ Standard library only. From the repository root:
     # in alternating order, so a change of host speed hits both sets alike
     python3 perfbench/compare.py collect --out a.jsonl --out-b b.jsonl --runs 10
 
-    # set B from another checkout (say the parent commit), same seeds
+    # set B from another checkout (say the parent commit), on set A's seeds
     python3 perfbench/compare.py collect --out new.jsonl --out-b old.jsonl \
-        --root-b ../parent --same-seeds
+        --root-b ../parent
 
     # medians and quartiles per workload and metric, checked against the
     # bounds in BENCHMARK.json
@@ -61,8 +61,10 @@ def collect(args):
     seconds = str(args.seconds or bench["run_seconds"])
     sets = [(ROOT, args.out, 0)]
     if args.out_b:
+        # Two checkouts run the same seeds, so each pair differs only in
+        # code; two sets of one checkout take distinct seeds.
         sets.append((os.path.abspath(args.root_b or ROOT), args.out_b,
-                     0 if args.same_seeds else args.runs))
+                     0 if args.root_b else args.runs))
     files = [open(path, "a") for _, path, _ in sets]
     try:
         for i in range(args.runs):
@@ -172,8 +174,6 @@ def main():
     c.add_argument("--out-b", help="set B, collected side by side with A")
     c.add_argument("--root-b", help="checkout that set B runs from; "
                    "default this one")
-    c.add_argument("--same-seeds", action="store_true",
-                   help="set B uses set A's seeds instead of the next ones")
     c.add_argument("--runs", type=int, default=10)
     c.add_argument("--first-seed", type=int, default=1)
     c.add_argument("--seconds", type=int, default=0,
